@@ -28,6 +28,13 @@ let sessions_only = Array.exists (( = ) "--sessions-only") Sys.argv
    BENCH_synth.json written. *)
 let synth_only = Array.exists (( = ) "--synth-only") Sys.argv
 
+(* The cluster benches: a router over tta_served worker processes
+   (built next to this harness, e.g. by dune build @all), 1/2/4/8
+   worker scaling (BENCH_cluster.json) or hedging under link chaos
+   (BENCH_resilience.json). *)
+let cluster_only = Array.exists (( = ) "--cluster-only") Sys.argv
+let resilience_only = Array.exists (( = ) "--resilience-only") Sys.argv
+
 let nodes = if paper_scale then 4 else 3
 
 let heading fmt =
@@ -40,6 +47,10 @@ let timed f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
+
+let write_json path j =
+  Json.to_file path j;
+  Printf.printf "machine-readable results written to %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
 (* Section 5 results: one row per configuration (E1-E5). *)
@@ -87,10 +98,7 @@ let write_bench_json telemetry results dt =
         ("telemetry", Portfolio.Telemetry.to_json telemetry);
       ]
   in
-  let oc = open_out_bin bench_json_path in
-  output_string oc (Json.to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc
+  write_json bench_json_path j
 
 let section5 () =
   heading "Section 5.2 — star-coupler fault tolerance (%d nodes, %s)" nodes
@@ -117,8 +125,7 @@ let section5 () =
   Printf.printf "matrix wall clock on %d domain(s): %.1fs\n%!"
     (Portfolio.Pool.default_domains ()) dt;
   Format.printf "%a%!" Portfolio.Telemetry.pp_table telemetry;
-  write_bench_json telemetry results dt;
-  Printf.printf "machine-readable results written to %s\n%!" bench_json_path
+  write_bench_json telemetry results dt
 
 (* ------------------------------------------------------------------ *)
 (* Section 6 numbers and Figure 3 (E6, E7). *)
@@ -418,11 +425,7 @@ let section_reach () =
         ("rows", Json.List rows);
       ]
   in
-  let oc = open_out_bin bdd_json_path in
-  output_string oc (Json.to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "machine-readable results written to %s\n%!" bdd_json_path
+  write_json bdd_json_path j
 
 (* ------------------------------------------------------------------ *)
 (* E15: sensitivity of the BDD engine to the variable order, measured
@@ -648,11 +651,7 @@ let section_sessions () =
         ("rows", Json.List rows);
       ]
   in
-  let oc = open_out_bin sessions_json_path in
-  output_string oc (Json.to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "machine-readable results written to %s\n%!" sessions_json_path;
+  write_json sessions_json_path j;
   if not !all_agree then begin
     Printf.printf "FATAL: warm sessions changed a verdict\n%!";
     exit 1
@@ -744,11 +743,7 @@ let section_synth () =
         ("service_wall_s", Json.Float service.Synthesis.wall_s);
       ]
   in
-  let oc = open_out_bin synth_json_path in
-  output_string oc (Json.to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "machine-readable results written to %s\n%!" synth_json_path;
+  write_json synth_json_path j;
   let ok =
     agree && direct.Synthesis.rejected > 0
     && direct.Synthesis.envelope_agreement
@@ -758,6 +753,331 @@ let section_synth () =
   in
   if not ok then begin
     Printf.printf "FATAL: synthesis sweep violated an acceptance invariant\n%!";
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Cluster benches: a consistent-hash router over tta_served worker
+   processes, driven by the seeded load generator. *)
+
+let served_exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    "../bin/tta_served.exe"
+
+let cluster_configs =
+  [ "passive"; "time-windows"; "small-shifting"; "full-shifting" ]
+
+let cluster_loadgen ~depths ~retry_budget ~concurrency ~requests addr =
+  Service.Loadgen.run ~seed:20 ~exhaustive:true ~nodes_choices:[ 2; 3 ]
+    ~depths ~configs:cluster_configs ~engines:[ "bdd" ] ~retry_budget
+    ~mode:(Service.Loadgen.Closed_loop concurrency)
+    ~requests addr
+
+(* Run [f] against a router over [workers] fresh daemons in a temp dir,
+   starting it only once the whole fleet is ready (rows measure steady
+   state, not daemon boot), then drain it. 1200 vnodes pins a
+   key->worker assignment that stays balanced at every bench fleet size
+   (max 4/3/2 of the 8 routing keys on one worker at 2/4/8 workers). *)
+let with_fleet ~label ~workers ?(worker_args = []) ?health_interval
+    ?health_timeout ?faults ?hedge_ms ?breaker_window f =
+  if not (Sys.file_exists served_exe) then begin
+    Printf.printf "FATAL: %s is not built\n%!" served_exe;
+    exit 1
+  end;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tta_fleet_%d_%s" (Unix.getpid ()) label)
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let ready = Atomic.make 0 in
+  let router =
+    Cluster.Router.start ~vnodes:1200 ?health_interval ?health_timeout
+      ?faults ?hedge_ms ?breaker_window
+      ~on_event:(function
+        | Cluster.Router.Worker_ready _ -> Atomic.incr ready
+        | _ -> ())
+      ~exe:served_exe
+      ~worker_args:
+        ([ "--cache-dir"; Filename.concat dir "cache"; "--workers"; "1";
+           "--queue-cap"; "256" ]
+        @ worker_args)
+      ~workers
+      (Service.Server.Unix_socket (Filename.concat dir "router.sock"))
+  in
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while Atomic.get ready < workers && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.05
+  done;
+  if Atomic.get ready < workers then begin
+    Printf.printf "FATAL: %s: cluster workers failed to become ready\n%!"
+      label;
+    exit 1
+  end;
+  let r = f router in
+  Cluster.Router.stop router;
+  Cluster.Router.wait router;
+  r
+
+(* A row: the load generator's report plus the row's own fields. *)
+let report_row ~concurrency extra r =
+  match
+    Service.Loadgen.report_to_json
+      ~mode:(Service.Loadgen.Closed_loop concurrency)
+      r
+  with
+  | Json.Obj fields -> Json.Obj (extra @ fields)
+  | j -> j
+
+(* 1 -> 2 -> 4 -> 8 worker scaling. Every request carries an injected
+   [engine_start=stall] fault in the worker, a deterministic
+   per-attempt service-time floor. That floor, not engine CPU,
+   dominates the workload — deliberately: it makes the scaling curve
+   measure the cluster fabric (routing, sharding, supervision overhead)
+   identically on a single-core container and a many-core CI runner,
+   where honest CPU-bound scaling would measure the host instead. The
+   engine runs are real but depth-capped short of conclusiveness (that
+   keeps CPU under the floor); every row must report identical verdict
+   counts, and verdict fidelity under failover is the CI cluster
+   smoke's job (conclusive depths). *)
+
+let cluster_json_path = "BENCH_cluster.json"
+
+let section_cluster () =
+  let requests = 64 and concurrency = 16 and stall_ms = 900 in
+  let chaos = Printf.sprintf "1:engine_start=stall%d" stall_ms in
+  let depths = List.init 8 (fun i -> 2 + i) in
+  heading "Cluster scaling — 1/2/4/8 workers over a %d ms service floor"
+    stall_ms;
+  let rows =
+    List.map
+      (fun n ->
+        let r =
+          with_fleet ~label:(Printf.sprintf "w%d" n) ~workers:n
+            ~worker_args:[ "--chaos"; chaos ]
+            (fun router ->
+              cluster_loadgen ~depths ~retry_budget:2 ~concurrency ~requests
+                (Cluster.Router.bound_addr router))
+        in
+        Printf.printf
+          "  %d workers: %.1f req/s (%d ok, %d errors, imbalance %.2f)\n%!" n
+          r.Service.Loadgen.throughput_rps r.Service.Loadgen.ok
+          r.Service.Loadgen.protocol_errors r.Service.Loadgen.imbalance;
+        (n, r))
+      [ 1; 2; 4; 8 ]
+  in
+  let speedup r =
+    r.Service.Loadgen.throughput_rps
+    /. Float.max 1e-9 (snd (List.hd rows)).Service.Loadgen.throughput_rps
+  in
+  write_json cluster_json_path
+    (Json.Obj
+       [
+         ("bench", Json.String "cluster_scaling");
+         ("generated_by", Json.String "bench/main.exe --cluster-only");
+         ( "workload",
+           Json.Obj
+             [
+               ("requests", Json.Int requests);
+               ("concurrency", Json.Int concurrency);
+               ("seed", Json.Int 20);
+               ("exhaustive", Json.Bool true);
+               ("vnodes", Json.Int 1200);
+               ("engine", Json.String "bdd");
+               ( "configs",
+                 Json.List (List.map (fun c -> Json.String c) cluster_configs)
+               );
+               ("nodes_choices", Json.List [ Json.Int 2; Json.Int 3 ]);
+               ("depths", Json.String "2..9");
+               ("chaos", Json.String chaos);
+             ] );
+         ( "rows",
+           Json.List
+             (List.map
+                (fun (n, r) ->
+                  report_row ~concurrency
+                    [
+                      ("workers", Json.Int n);
+                      ("speedup", Json.Float (speedup r));
+                    ]
+                    r)
+                rows) );
+         ( "speedup_at_max_workers",
+           Json.Float (speedup (snd (List.hd (List.rev rows)))) );
+       ]);
+  (* The same seeded stream must yield the same verdict counts no
+     matter how many workers served it — sharding must not change
+     answers. *)
+  let verdicts (_, r) =
+    Service.Loadgen.(r.ok, r.holds, r.violated, r.unknown)
+  in
+  if
+    List.exists (fun (_, r) -> r.Service.Loadgen.protocol_errors > 0) rows
+    || List.exists (fun row -> verdicts row <> verdicts (List.hd rows)) rows
+  then begin
+    Printf.printf "FATAL: protocol errors, or rows disagree on verdicts\n%!";
+    exit 1
+  end
+
+(* Availability and tail latency under seeded link chaos, hedging on vs
+   off. One closed-loop (concurrency 1) seeded stream per row, so the
+   router<->worker line sequence — and therefore which line a capped
+   link fault hits — is deterministic: the health interval is pushed
+   past the row's duration (no heartbeat lines compete for the fault
+   caps) and the fault caps are x1. The delay rows inject one 2 s
+   tail-latency event on the first worker response; with hedging off
+   it lands in p99 whole, with hedging on the duplicate leg answers at
+   about the hedge delay. The drop row loses the first forwarded
+   request line outright; the hedge leg is the only recovery inside
+   the bench's horizon (the retransmit net sits at 3x the stretched
+   health timeout), so zero lost requests demonstrates it working.
+   Verdict fidelity is enforced against a direct in-process
+   Service.Server run of the same stream — chaos and hedging may move
+   latency, never answers. *)
+
+let resilience_json_path = "BENCH_resilience.json"
+
+let section_resilience () =
+  let requests = 24 and hedge = 150 and breaker_window = 8 in
+  let delay_spec = "9:link_recv=delay2000x1" in
+  let drop_spec = "9:link_send=dropx1" in
+  let depths = [ 32; 36; 40 ] in
+  let loadgen =
+    cluster_loadgen ~depths ~retry_budget:3 ~concurrency:1 ~requests
+  in
+  heading "Cluster resilience — hedging under seeded link chaos (%d requests)"
+    requests;
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tta_res_direct_%d.sock" (Unix.getpid ()))
+  in
+  let server =
+    Service.Server.start ~workers:2 (Service.Server.Unix_socket sock)
+  in
+  let direct = loadgen (Service.Server.bound_addr server) in
+  Service.Server.stop server;
+  Service.Server.wait server;
+  let rows =
+    List.map
+      (fun (label, chaos, hedge_ms) ->
+        let faults =
+          match chaos with
+          | None -> Resilience.Faults.disabled
+          | Some spec -> Result.get_ok (Resilience.Faults.of_spec spec)
+        in
+        let r =
+          with_fleet ~label ~workers:2 ~health_interval:60.
+            ~health_timeout:120. ~faults ~hedge_ms ~breaker_window
+            (fun router ->
+              let r = loadgen (Cluster.Router.bound_addr router) in
+              (* The router's own counters are authoritative: hedges
+                 whose duplicate leg lost the race are invisible in
+                 response annotations, and breaker trips never reach
+                 the wire at all. *)
+              let s = Cluster.Router.stats router in
+              {
+                r with
+                Service.Loadgen.hedged = s.Cluster.Router.hedged;
+                breaker_opens = s.Cluster.Router.breaker_opens;
+              })
+        in
+        Printf.printf
+          "  %s: %d ok, %d degraded, %.1fms p99, %d hedged, %d retries\n%!"
+          label r.Service.Loadgen.ok r.Service.Loadgen.degraded
+          r.Service.Loadgen.p99_ms r.Service.Loadgen.hedged
+          r.Service.Loadgen.retries;
+        (label, chaos, hedge_ms, r, Resilience.Faults.injections faults))
+      [
+        ("baseline", None, 0);
+        ("delay_hedge_off", Some delay_spec, 0);
+        ("delay_hedge_on", Some delay_spec, hedge);
+        ("drop_hedge_on", Some drop_spec, hedge);
+      ]
+  in
+  let find label =
+    let _, _, _, r, _ = List.find (fun (l, _, _, _, _) -> l = label) rows in
+    r
+  in
+  let off = find "delay_hedge_off" and on_ = find "delay_hedge_on" in
+  let availability r =
+    float_of_int Service.Loadgen.(r.ok + r.degraded)
+    /. float_of_int (max 1 r.Service.Loadgen.requests)
+  in
+  write_json resilience_json_path
+    (Json.Obj
+       [
+         ("bench", Json.String "cluster_resilience");
+         ("generated_by", Json.String "bench/main.exe --resilience-only");
+         ( "workload",
+           Json.Obj
+             [
+               ("requests", Json.Int requests);
+               ("concurrency", Json.Int 1);
+               ("seed", Json.Int 20);
+               ("exhaustive", Json.Bool true);
+               ("workers", Json.Int 2);
+               ("engine", Json.String "bdd");
+               ( "configs",
+                 Json.List (List.map (fun c -> Json.String c) cluster_configs)
+               );
+               ("nodes_choices", Json.List [ Json.Int 2; Json.Int 3 ]);
+               ("depths", Json.List (List.map (fun d -> Json.Int d) depths));
+               ("hedge_ms", Json.Int hedge);
+               ("breaker_window", Json.Int breaker_window);
+             ] );
+         ("direct_reference", report_row ~concurrency:1 [] direct);
+         ( "rows",
+           Json.List
+             (List.map
+                (fun (label, chaos, hedge_ms, r, fired) ->
+                  report_row ~concurrency:1
+                    [
+                      ("row", Json.String label);
+                      ( "chaos",
+                        Option.fold ~none:Json.Null
+                          ~some:(fun s -> Json.String s)
+                          chaos );
+                      ("hedge_ms", Json.Int hedge_ms);
+                      ("availability", Json.Float (availability r));
+                      ( "injections",
+                        Json.Obj
+                          (List.map (fun (rule, n) -> (rule, Json.Int n)) fired)
+                      );
+                    ]
+                    r)
+                rows) );
+         ( "hedge_p99_speedup",
+           Json.Float
+             (off.Service.Loadgen.p99_ms
+             /. Float.max 1e-9 on_.Service.Loadgen.p99_ms) );
+       ]);
+  let problems =
+    List.concat_map
+      (fun (label, _, _, r, _) ->
+        List.filter_map
+          (fun (ok, what) -> if ok then None else Some (label ^ ": " ^ what))
+          [
+            (r.Service.Loadgen.protocol_errors = 0, "protocol errors");
+            ( Service.Loadgen.(r.ok + r.degraded = r.requests),
+              "lost requests" );
+            ( Service.Loadgen.(r.holds, r.violated, r.unknown)
+              = Service.Loadgen.(direct.holds, direct.violated, direct.unknown),
+              "verdicts differ from the direct reference" );
+          ])
+      rows
+    @ List.filter_map
+        (fun (ok, what) -> if ok then None else Some what)
+        [
+          ( on_.Service.Loadgen.p99_ms < off.Service.Loadgen.p99_ms,
+            "hedging did not improve p99 under delay chaos" );
+          (on_.Service.Loadgen.hedged > 0, "delay_hedge_on never hedged");
+          ( (find "drop_hedge_on").Service.Loadgen.hedged > 0,
+            "drop_hedge_on never hedged" );
+        ]
+  in
+  if problems <> [] then begin
+    List.iter (Printf.printf "FATAL: %s\n") problems;
     exit 1
   end
 
@@ -871,6 +1191,8 @@ let () =
   if reach_only then section_reach ()
   else if sessions_only then section_sessions ()
   else if synth_only then section_synth ()
+  else if cluster_only then section_cluster ()
+  else if resilience_only then section_resilience ()
   else begin
     section5 ();
     section6 ();

@@ -40,16 +40,6 @@ let depth ?(default = 24) () =
     & info [ "d"; "depth" ] ~docv:"K"
         ~doc:"Unrolling/iteration bound for the engines.")
 
-let cache_max_entries () =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "cache-max-entries" ] ~docv:"N"
-        ~doc:
-          "Cap the persistent verdict cache at N entries; the \
-           least-recently-used entries are evicted first. Unbounded when \
-           omitted.")
-
 let json () =
   Arg.(
     value
@@ -57,78 +47,40 @@ let json () =
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Also write the machine-readable results to FILE as JSON.")
 
-let partitioned () =
+let domains () =
   Arg.(
     value
-    & vflag true
-        [
-          ( true,
-            info [ "partitioned" ]
-              ~doc:
-                "Compute BDD images over the partitioned transition relation \
-                 with early quantification (the default)." );
-          ( false,
-            info [ "monolithic" ]
-              ~doc:
-                "Compute BDD images against the monolithic transition \
-                 relation (the pre-optimization baseline)." );
-        ])
+    & opt int (Portfolio.Pool.default_domains ())
+    & info [ "j"; "domains" ] ~docv:"N"
+        ~doc:"Worker domains for the portfolio pool (default: all cores).")
 
-let gc_watermark () =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "gc-watermark" ] ~docv:"N"
-        ~doc:
-          "Reclaim dead BDD nodes at fixpoint-iteration boundaries once N \
-           nodes were allocated since the last sweep; 0 disables the sweeps. \
-           Default: the engine's built-in watermark.")
+let seed () =
+  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling seed.")
 
-let no_restrict () =
-  Arg.(
-    value & flag
-    & info [ "no-restrict" ]
-        ~doc:
-          "Disable Coudert-Madre frontier minimization against the reached \
-           set before each BDD image step.")
-
-let strategy () =
-  Arg.(
-    value & opt string "bfs"
-    & info [ "strategy" ] ~docv:"NAME"
-        ~doc:
-          "Fixpoint exploration strategy for the BDD engine: bfs \
-           (breadth-first, the default) or saturation (guard-local worklist \
-           sweeps). Both produce identical verdicts and counterexample \
-           lengths.")
-
-let strategy_of_name s =
-  match String.lowercase_ascii (String.trim s) with
-  | "bfs" -> Symkit.Reach.Bfs
-  | "saturation" -> Symkit.Reach.Saturation
-  | _ ->
-      prerr_endline
-        ("unknown --strategy '" ^ s ^ "' (expected bfs | saturation)");
-      exit 2
-
-let reach_tuning_of ?(strategy = "bfs") ~partitioned ~gc_watermark
-    ~no_restrict () =
-  let base =
-    if partitioned then Symkit.Reach.default_tuning
-    else Symkit.Reach.monolithic_tuning
+let reach_tuning () =
+  let strategy =
+    Arg.(
+      value & opt string "bfs"
+      & info [ "strategy" ] ~docv:"NAME"
+          ~doc:
+            "Fixpoint exploration strategy for the BDD engine: bfs \
+             (breadth-first, the default) or saturation (guard-local \
+             worklist sweeps). Both produce identical verdicts and \
+             counterexample lengths.")
   in
-  (match gc_watermark with
-  | Some n when n < 0 ->
-      prerr_endline "--gc-watermark: expected a non-negative node count";
-      exit 2
-  | _ -> ());
-  {
-    base with
-    Symkit.Reach.use_restrict = base.Symkit.Reach.use_restrict && not no_restrict;
-    gc_watermark =
-      Option.value gc_watermark ~default:base.Symkit.Reach.gc_watermark;
-    strategy = strategy_of_name strategy;
-  }
+  let tuning s =
+    let strategy =
+      match String.lowercase_ascii (String.trim s) with
+      | "bfs" -> Symkit.Reach.Bfs
+      | "saturation" -> Symkit.Reach.Saturation
+      | _ ->
+          prerr_endline
+            ("unknown --strategy '" ^ s ^ "' (expected bfs | saturation)");
+          exit 2
+    in
+    { Symkit.Reach.default_tuning with strategy }
+  in
+  Term.(const tuning $ strategy)
 
 let chaos () =
   Arg.(
@@ -146,7 +98,74 @@ let chaos () =
            built-in mixed-fault spec. The link_* points fire on the \
            cluster router's per-worker lines (drop loses a line, delay \
            defers it); elsewhere drop behaves as crash and delay as \
-           stall.")
+           stall. The cluster router arms the spec twice: on its own \
+           registry (the link_* points) and on every worker daemon.")
+
+(* ------------------------------------------------------------------ *)
+(* Daemon flags *)
+
+let addr_of_string ~flag s =
+  match Service.Server.addr_of_string s with
+  | Ok a -> a
+  | Error e ->
+      prerr_endline ("bad " ^ flag ^ " address '" ^ s ^ "': " ^ e);
+      exit 2
+
+let socket ~doc () =
+  let s =
+    Arg.(
+      required
+      & opt (some string) None
+      & info [ "s"; "socket" ] ~docv:"ADDR" ~doc)
+  in
+  Term.(const (addr_of_string ~flag:"--socket") $ s)
+
+let cache_dir () =
+  Arg.(
+    value & opt string "_cache"
+    & info [ "cache-dir" ] ~docv:"DIR"
+        ~doc:
+          "Verdict cache directory (the cluster router's workers share it \
+           through the cache's advisory lock).")
+
+let no_cache () =
+  Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the verdict cache.")
+
+let cache_max_entries () =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "cache-max-entries" ] ~docv:"N"
+        ~doc:
+          "Cap the persistent verdict cache at N entries; the \
+           least-recently-used entries are evicted first. Unbounded when \
+           omitted.")
+
+let cache () =
+  let open_ dir disabled max_entries faults =
+    if disabled then None
+    else Some (Portfolio.Cache.create ~dir ?max_entries ~faults ())
+  in
+  Term.(const open_ $ cache_dir () $ no_cache () $ cache_max_entries ())
+
+let queue_cap () =
+  Arg.(
+    value & opt int 64
+    & info [ "queue-cap" ] ~docv:"N"
+        ~doc:
+          "Admission bound of each daemon: queued computations beyond N are \
+           shed with an overloaded response.")
+
+let sessions () =
+  Arg.(
+    value & flag
+    & info [ "sessions" ]
+        ~doc:
+          "Keep a pool of warm incremental solver sessions in each daemon: \
+           single-SAT-engine requests of a family they have seen reuse \
+           unrolling and learned clauses instead of starting cold. \
+           Consistent hashing sends a family to the same cluster worker, so \
+           warm hits survive sharding.")
 
 (* ------------------------------------------------------------------ *)
 (* Uniform parsers *)
@@ -191,6 +210,71 @@ let faults_of_chaos = function
       | Error msg ->
           prerr_endline ("--chaos: " ^ msg);
           exit 2)
+
+let index ~flag ~count i =
+  if i < 0 || i >= count then begin
+    Printf.eprintf "out-of-range %s '%d' (expected 0..%d)\n" flag i
+      (count - 1);
+    exit 2
+  end;
+  i
+
+(* ------------------------------------------------------------------ *)
+(* Shared report lines *)
+
+let write_json ~what path j =
+  Option.iter
+    (fun path ->
+      Json.to_file path j;
+      Printf.printf "%s written to %s\n" what path)
+    path
+
+let print_ready bound =
+  let port =
+    match bound with
+    | Service.Server.Tcp (_, port) -> [ ("port", Json.Int port) ]
+    | Service.Server.Unix_socket _ -> []
+  in
+  print_string
+    (Json.to_string
+       (Json.Obj
+          ([
+             ("ready", Json.Bool true);
+             ("socket", Json.String (Service.Server.addr_to_string bound));
+           ]
+          @ port))
+    ^ "\n")
+
+let print_chaos ?(scope = "") faults =
+  if Resilience.Faults.enabled faults then begin
+    Printf.printf "chaos: %sspec %s\n" scope (Resilience.Faults.to_spec faults);
+    List.iter
+      (fun (rule, n) -> Printf.printf "  %-28s fired %d\n" rule n)
+      (Resilience.Faults.injections faults)
+  end
+
+let print_cache_stats c =
+  Printf.printf
+    "cache: %d hits, %d misses, %d entries, %d evicted, %d quarantined\n"
+    (Portfolio.Cache.hits c) (Portfolio.Cache.misses c)
+    (Portfolio.Cache.entries c)
+    (Portfolio.Cache.evictions c)
+    (Portfolio.Cache.quarantined c)
+
+let print_verdict ~nodes = function
+  | Tta_model.Engine.Holds { detail } ->
+      Printf.printf "PROPERTY HOLDS: %s\n" detail
+  | Tta_model.Engine.Unknown { detail } ->
+      Printf.printf "UNDECIDED: %s\n" detail
+  | Tta_model.Engine.Violated { trace; model } -> (
+      Printf.printf
+        "PROPERTY VIOLATED: a single coupler fault froze an integrated \
+         node.\nCounterexample (%d steps):\n%s"
+        (Array.length trace)
+        (Tta_model.Engine.describe_trace model trace ~nodes);
+      match Symkit.Trace.validate model trace with
+      | Ok () -> Printf.printf "(trace replays cleanly against the model)\n"
+      | Error e -> Printf.printf "WARNING: trace validation failed: %s\n" e)
 
 (* ------------------------------------------------------------------ *)
 (* Observability *)
@@ -243,12 +327,3 @@ let obs_finish o =
           Printf.printf "trace written to %s (chrome://tracing)\n" path
       | None -> ());
       if o.metrics then Format.printf "%a" Obs.Collector.pp_table col
-
-(* ------------------------------------------------------------------ *)
-(* JSON output *)
-
-let write_json path j =
-  let oc = open_out_bin path in
-  output_string oc (Json.to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc

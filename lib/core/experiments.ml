@@ -21,9 +21,9 @@ let pp_outcome ppf o =
 (* ------------------------------------------------------------------ *)
 (* E1-E3: the three safe coupler configurations (Section 5.2). *)
 
-(* Verdict-to-outcome mapping, shared between the sequential checks
-   below and the portfolio-scheduled runs of [all_portfolio]: the same
-   engine at the same depth must read off identically however it was
+(* Verdict-to-outcome mapping, shared between the direct checks below
+   and the portfolio-scheduled runs of [all_portfolio]: the same engine
+   at the same depth must read off identically however it was
    scheduled. *)
 let safe_outcome ~id ~title verdict =
   match verdict with
@@ -55,21 +55,25 @@ let check_bdd ~max_depth cfg =
      ~max_depth cfg)
     .Tta_model.Engine.verdict
 
-let check_safe ~id ~title ?(depth = 100) cfg =
-  safe_outcome ~id ~title (check_bdd ~max_depth:depth cfg)
+let check read ?(depth = 100) cfg = read (check_bdd ~max_depth:depth cfg)
+
+let read_e1 =
+  safe_outcome ~id:"E1"
+    ~title:"passive coupler: no single fault freezes an integrated node"
+
+let read_e2 = safe_outcome ~id:"E2" ~title:"time-windows coupler: property holds"
+
+let read_e3 =
+  safe_outcome ~id:"E3" ~title:"small-shifting coupler: property holds"
 
 let e1 ?nodes ?depth () =
-  check_safe ~id:"E1" ~title:"passive coupler: no single fault freezes an integrated node"
-    ?depth
-    (Tta_model.Configs.passive ?nodes ())
+  check read_e1 ?depth (Tta_model.Configs.passive ?nodes ())
 
 let e2 ?nodes ?depth () =
-  check_safe ~id:"E2" ~title:"time-windows coupler: property holds" ?depth
-    (Tta_model.Configs.time_windows ?nodes ())
+  check read_e2 ?depth (Tta_model.Configs.time_windows ?nodes ())
 
 let e3 ?nodes ?depth () =
-  check_safe ~id:"E3" ~title:"small-shifting coupler: property holds" ?depth
-    (Tta_model.Configs.small_shifting ?nodes ())
+  check read_e3 ?depth (Tta_model.Configs.small_shifting ?nodes ())
 
 (* ------------------------------------------------------------------ *)
 (* E4/E5: the two counterexamples for full-frame buffering. *)
@@ -101,28 +105,28 @@ let unsafe_outcome ~id ~title ~expect verdict =
   | Tta_model.Engine.Unknown { detail } ->
       { id; title; paper_says = expect; measured = detail; matches = false }
 
-let check_unsafe ~id ~title ~expect ?(depth = 100) cfg =
-  unsafe_outcome ~id ~title ~expect (check_bdd ~max_depth:depth cfg)
-
-let e4 ?nodes ?depth () =
-  check_unsafe ~id:"E4"
+let read_e4 =
+  unsafe_outcome ~id:"E4"
     ~title:"full-shifting coupler: duplicated cold-start frame"
     ~expect:
       "counterexample exists (<=1 out-of-slot error): node frozen by \
        clique avoidance after a cold-start replay"
-    ?depth
-    (Tta_model.Configs.full_shifting ?nodes ())
+
+let read_e5 =
+  unsafe_outcome ~id:"E5"
+    ~title:"full-shifting coupler: duplicated C-state frame"
+    ~expect:
+      "counterexample exists even with cold-start duplication prohibited"
+
+let e4 ?nodes ?depth () =
+  check read_e4 ?depth (Tta_model.Configs.full_shifting ?nodes ())
 
 let e5 ?nodes ?depth () =
   (* The C-state-duplication failure needs at least three participants
      (at two nodes the configuration is provably safe; see
      EXPERIMENTS.md), so the registry clamps the cluster size. *)
   let nodes = Option.map (max 3) nodes in
-  check_unsafe ~id:"E5"
-    ~title:"full-shifting coupler: duplicated C-state frame"
-    ~expect:
-      "counterexample exists even with cold-start duplication prohibited"
-    ?depth
+  check read_e5 ?depth
     (Tta_model.Configs.full_shifting ?nodes ~forbid_cold_start_duplication:true ())
 
 (* ------------------------------------------------------------------ *)
@@ -359,63 +363,20 @@ let e18 ?nodes ?depth () =
 
 let quick () = [ e6 (); e7 (); e8 (); e10 () ]
 
-let all ?nodes ?safe_depth ?unsafe_depth () =
-  [
-    e1 ?nodes ?depth:safe_depth ();
-    e2 ?nodes ?depth:safe_depth ();
-    e3 ?nodes ?depth:safe_depth ();
-    e4 ?nodes ?depth:unsafe_depth ();
-    e5 ?nodes ?depth:unsafe_depth ();
-  ]
-  @ quick ()
-  @ [ e18 ?nodes () ]
-
-(* The same E1-E5 registry, but the model-checking runs are scheduled
-   by the portfolio pool (and may be served from its verdict cache)
-   instead of sequentially. Each job pins the engine and depth the
-   sequential path uses, so the outcomes — titles, details, matches —
-   are identical; only the scheduling differs. *)
-let all_portfolio ?nodes ?(safe_depth = 100) ?(unsafe_depth = 100) ?domains
-    ?cache ?telemetry ?obs () =
-  let e5_nodes = Option.map (max 3) nodes in
-  let bdd = Tta_model.Engine.Bdd_reach in
-  let jobs_and_readers =
-    [
-      ( Portfolio.job ~label:"E1" ~engine:bdd ~max_depth:safe_depth
-          (Tta_model.Configs.passive ?nodes ()),
-        safe_outcome ~id:"E1"
-          ~title:
-            "passive coupler: no single fault freezes an integrated node" );
-      ( Portfolio.job ~label:"E2" ~engine:bdd ~max_depth:safe_depth
-          (Tta_model.Configs.time_windows ?nodes ()),
-        safe_outcome ~id:"E2" ~title:"time-windows coupler: property holds" );
-      ( Portfolio.job ~label:"E3" ~engine:bdd ~max_depth:safe_depth
-          (Tta_model.Configs.small_shifting ?nodes ()),
-        safe_outcome ~id:"E3" ~title:"small-shifting coupler: property holds"
-      );
-      ( Portfolio.job ~label:"E4" ~engine:bdd ~max_depth:unsafe_depth
-          (Tta_model.Configs.full_shifting ?nodes ()),
-        unsafe_outcome ~id:"E4"
-          ~title:"full-shifting coupler: duplicated cold-start frame"
-          ~expect:
-            "counterexample exists (<=1 out-of-slot error): node frozen by \
-             clique avoidance after a cold-start replay" );
-      ( Portfolio.job ~label:"E5" ~engine:bdd ~max_depth:unsafe_depth
-          (Tta_model.Configs.full_shifting ?nodes:e5_nodes
-             ~forbid_cold_start_duplication:true ()),
-        unsafe_outcome ~id:"E5"
-          ~title:"full-shifting coupler: duplicated C-state frame"
-          ~expect:
-            "counterexample exists even with cold-start duplication \
-             prohibited" );
-    ]
-  in
-  let results =
-    Portfolio.run_matrix ?domains ?cache ?telemetry ?obs
-      (List.map fst jobs_and_readers)
+(* E1-E5 are the BDD rows of the Section 5 matrix, scheduled by the
+   portfolio pool (and possibly served from its verdict cache); each
+   job pins the engine and depth [e1]..[e5] use, so the outcomes read
+   off identically. *)
+let all_portfolio ?nodes ?safe_depth ?unsafe_depth ?domains ?cache ?telemetry
+    ?obs () =
+  let jobs =
+    List.filter
+      (fun (j : Portfolio.job) -> j.engine = Some Tta_model.Engine.Bdd_reach)
+      (Portfolio.section5_jobs ?nodes ?safe_depth ?unsafe_depth ())
   in
   List.map2
-    (fun (_, read) (_, (r : Portfolio.result)) -> read r.Portfolio.verdict)
-    jobs_and_readers results
+    (fun read (_, (r : Portfolio.result)) -> read r.Portfolio.verdict)
+    [ read_e1; read_e2; read_e3; read_e4; read_e5 ]
+    (Portfolio.run_matrix ?domains ?cache ?telemetry ?obs jobs)
   @ quick ()
   @ [ e18 ?nodes () ]

@@ -84,6 +84,12 @@ let to_string ?(pretty = false) v =
 
 exception Fail of int * string
 
+let to_file path v =
+  let oc = open_out_bin path in
+  output_string oc (to_string ~pretty:true v);
+  output_char oc '\n';
+  close_out oc
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in

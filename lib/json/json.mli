@@ -21,6 +21,9 @@ type t =
 val to_string : ?pretty:bool -> t -> string
 (** [pretty] inserts newlines and two-space indentation. *)
 
+val to_file : string -> t -> unit
+(** Write [to_string ~pretty:true] plus a trailing newline to a file. *)
+
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; the error carries an offset. *)
 

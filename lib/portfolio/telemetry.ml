@@ -141,9 +141,3 @@ let to_json t =
       ("records", Json.List (List.map record_to_json (records t)));
       ("summary", summary_to_json (summarize t));
     ]
-
-let dump_json t path =
-  let oc = open_out_bin path in
-  output_string oc (Json.to_string ~pretty:true (to_json t));
-  output_char oc '\n';
-  close_out oc

@@ -56,6 +56,3 @@ val pp_table : Format.formatter -> t -> unit
 val to_json : t -> Json.t
 (** [{ "records": [...], "summary": {...} }] — the schema is documented
     in doc/portfolio.md. *)
-
-val dump_json : t -> string -> unit
-(** Write {!to_json} (pretty-printed) to a file. *)

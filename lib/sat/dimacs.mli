@@ -1,6 +1,6 @@
 (** DIMACS CNF reader/writer.
 
-    Makes the solver usable as a standalone tool ([bin/sat_solve]) and
+    Makes the solver usable as a standalone tool ([tta sat]) and
     lets instances generated here be cross-checked against external
     solvers. *)
 

@@ -59,16 +59,6 @@ let optional_bool name j =
       | Some b -> Ok (Some b)
       | None -> Error (Printf.sprintf "field %S must be a boolean" name))
 
-let config_of ~feature ~nodes ~forbid =
-  match (feature : Guardian.Feature_set.t) with
-  | Guardian.Feature_set.Passive -> Tta_model.Configs.passive ?nodes ()
-  | Guardian.Feature_set.Time_windows -> Tta_model.Configs.time_windows ?nodes ()
-  | Guardian.Feature_set.Small_shifting ->
-      Tta_model.Configs.small_shifting ?nodes ()
-  | Guardian.Feature_set.Full_shifting ->
-      Tta_model.Configs.full_shifting ?nodes
-        ?forbid_cold_start_duplication:forbid ()
-
 let decode_request j =
   match j with
   | Json.Obj _ ->
@@ -111,7 +101,9 @@ let decode_request j =
       Ok
         {
           id;
-          cfg = config_of ~feature ~nodes ~forbid;
+          cfg =
+            Tta_model.Configs.section5 ?nodes
+              ?forbid_cold_start_duplication:forbid feature;
           engines;
           max_depth = Option.value ~default:24 depth;
           deadline_ms;

@@ -31,6 +31,15 @@ let to_string = function
   | Bad_cstate { time_offset } -> Printf.sprintf "bad-cstate(+%d)" time_offset
   | Masquerade { as_slot } -> Printf.sprintf "masquerade(slot=%d)" as_slot
 
+let of_string ~nodes ~node = function
+  | "none" -> Some Healthy
+  | "crash" -> Some Crashed
+  | "sos" -> Some (Sos { timing = 0.5; value = 0.0 })
+  | "babbling" -> Some (Babbling { in_slot = (node + 1) mod nodes })
+  | "bad-cstate" -> Some (Bad_cstate { time_offset = 7 })
+  | "masquerade" -> Some (Masquerade { as_slot = (node + 1) mod nodes })
+  | _ -> None
+
 (* Apply the fault to what the healthy controller wanted to transmit in
    its own slot. Returns the (possibly modified) attempt. *)
 let distort fault ~sender ~channel frame =

@@ -24,6 +24,12 @@ type t =
 
 val to_string : t -> string
 
+val of_string : nodes:int -> node:int -> string -> t option
+(** The fault a CLI name selects for [node] of an [nodes]-node cluster:
+    [none], [crash], [sos], [babbling] and [masquerade] (both aimed at
+    the next slot, [(node + 1) mod nodes]) or [bad-cstate]; [None] for
+    any other name. *)
+
 val distort :
   t -> sender:int -> channel:int -> Frame.t -> Guardian.Coupler.attempt option
 (** Apply the fault to what the healthy controller wanted to transmit

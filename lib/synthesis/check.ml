@@ -18,13 +18,7 @@ type outcome = {
 }
 
 let lower ~nodes (c : Space.candidate) =
-  match c.Space.feature_set with
-  | Guardian.Feature_set.Passive -> Tta_model.Configs.passive ~nodes ()
-  | Guardian.Feature_set.Time_windows -> Tta_model.Configs.time_windows ~nodes ()
-  | Guardian.Feature_set.Small_shifting ->
-      Tta_model.Configs.small_shifting ~nodes ()
-  | Guardian.Feature_set.Full_shifting ->
-      Tta_model.Configs.full_shifting ~nodes ()
+  Tta_model.Configs.section5 ~nodes c.Space.feature_set
 
 let of_engine_verdict = function
   | Tta_model.Engine.Holds _ -> Upheld

@@ -65,6 +65,11 @@ let full_shifting ?nodes ?(oos_budget = 1)
   make ?nodes ~oos_budget ~forbid_cold_start_duplication
     Guardian.Feature_set.Full_shifting
 
+let section5 ?nodes ?forbid_cold_start_duplication = function
+  | Guardian.Feature_set.Full_shifting ->
+      full_shifting ?nodes ?forbid_cold_start_duplication ()
+  | fs -> make ?nodes fs
+
 let name cfg =
   Printf.sprintf "%s%s%s%s"
     (Guardian.Feature_set.to_string cfg.feature_set)

@@ -61,4 +61,10 @@ val full_shifting :
 (** The failing configuration; defaults to the paper's one-error
     budget. Use {!make} directly for an unlimited budget. *)
 
+val section5 :
+  ?nodes:int -> ?forbid_cold_start_duplication:bool ->
+  Guardian.Feature_set.t -> t
+(** The Section 5 configuration of a feature set: one of the four
+    above (the forbid flag only applies to full shifting). *)
+
 val name : t -> string

@@ -116,6 +116,22 @@ let test_babbling_contained_by_time_windows () =
   Alcotest.(check int) "all active" 4
     (Sim.Cluster.count_in_state c Controller.Active)
 
+let test_node_fault_of_string () =
+  let parse ?(nodes = 4) ~node name =
+    Option.map Sim.Node_fault.to_string
+      (Sim.Node_fault.of_string ~nodes ~node name)
+  in
+  Alcotest.(check (option string)) "none is healthy" (Some "healthy")
+    (parse ~node:0 "none");
+  Alcotest.(check (option string)) "babbling aims at the next slot"
+    (Some "babbling(slot=2)") (parse ~node:1 "babbling");
+  Alcotest.(check (option string)) "masquerade wraps at 3 nodes"
+    (Some "masquerade(slot=0)")
+    (parse ~nodes:3 ~node:2 "masquerade");
+  Alcotest.(check (option string)) "babbling wraps at 4 nodes"
+    (Some "babbling(slot=0)") (parse ~node:3 "babbling");
+  Alcotest.(check (option string)) "unknown name" None (parse ~node:0 "melt")
+
 let test_crashed_node_removed_from_membership () =
   let c = fresh () in
   boot_ok c;
@@ -376,6 +392,8 @@ let () =
             test_sos_reshaped_by_small_shifting;
           Alcotest.test_case "babbling contained by time windows" `Quick
             test_babbling_contained_by_time_windows;
+          Alcotest.test_case "fault names parse" `Quick
+            test_node_fault_of_string;
           Alcotest.test_case "crash removed from membership" `Quick
             test_crashed_node_removed_from_membership;
           Alcotest.test_case "mode change propagates" `Quick
